@@ -86,8 +86,7 @@ pub fn causal(m: &clap::ArgMatches) -> Result<(), String> {
     let mut queues: Vec<(u64, VecDeque<FrameEvent>)> = Vec::new();
     let mut owner_file: BTreeMap<u64, String> = BTreeMap::new();
     for path in &inputs {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         for (lineno, line) in body.lines().enumerate() {
             let Some(ev) = parse_frame_event(path, lineno, line)? else {
                 continue;
@@ -131,7 +130,9 @@ pub fn causal(m: &clap::ArgMatches) -> Result<(), String> {
         Some(path) => std::fs::write(path, &doc).map_err(|e| format!("{path}: {e}"))?,
         None => {
             let mut stdout = std::io::stdout().lock();
-            stdout.write_all(doc.as_bytes()).map_err(|e| e.to_string())?;
+            stdout
+                .write_all(doc.as_bytes())
+                .map_err(|e| e.to_string())?;
         }
     }
     eprintln!(
@@ -156,10 +157,7 @@ fn harvest(dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>, String> {
         }
     }
     if found.is_empty() {
-        return Err(format!(
-            "{}: no flight_p*.jsonl dumps found",
-            dir.display()
-        ));
+        return Err(format!("{}: no flight_p*.jsonl dumps found", dir.display()));
     }
     found.sort();
     Ok(found)
@@ -295,8 +293,8 @@ fn merge(mut queues: Vec<(u64, VecDeque<FrameEvent>)>) -> Result<Merged, String>
     loop {
         let mut progress = false;
         let mut exhausted = true;
-        for i in 0..queues.len() {
-            let Some(head) = queues[i].1.front().cloned() else {
+        for (_, queue) in &mut queues {
+            let Some(head) = queue.front().cloned() else {
                 continue;
             };
             exhausted = false;
@@ -321,7 +319,7 @@ fn merge(mut queues: Vec<(u64, VecDeque<FrameEvent>)>) -> Result<Merged, String>
                             let outside_window = !dumped.contains(&head.peer)
                                 || window
                                     .get(&head.peer)
-                                    .map_or(true, |(lo, hi)| head.seq < *lo || head.seq > *hi);
+                                    .is_none_or(|(lo, hi)| head.seq < *lo || head.seq > *hi);
                             if !outside_window {
                                 return Err(format!(
                                     "{}: {} of frame ({}, {}) has no matching send \
@@ -379,7 +377,7 @@ fn merge(mut queues: Vec<(u64, VecDeque<FrameEvent>)>) -> Result<Merged, String>
                     emit(head.kind.as_str(), &head, &mut pos, &mut lines);
                 }
             }
-            queues[i].1.pop_front();
+            queue.pop_front();
             progress = true;
         }
         if exhausted {

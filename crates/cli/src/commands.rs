@@ -692,10 +692,7 @@ pub fn explain(opts: &RunOpts, faulty_arg: Option<&str>) -> Result<(), String> {
                                     "pinned_by",
                                     c.pinned_by.as_ref().map(|p| {
                                         Json::obj()
-                                            .field(
-                                                "process",
-                                                Json::UInt(p.blocker.index() as u64),
-                                            )
+                                            .field("process", Json::UInt(p.blocker.index() as u64))
                                             .field(
                                                 "incarnation",
                                                 Json::UInt(u64::from(p.incarnation)),
@@ -719,10 +716,7 @@ pub fn explain(opts: &RunOpts, faulty_arg: Option<&str>) -> Result<(), String> {
                                             .iter()
                                             .map(|a| {
                                                 Json::obj()
-                                                    .field(
-                                                        "at",
-                                                        Json::UInt(a.at.value() as u64),
-                                                    )
+                                                    .field("at", Json::UInt(a.at.value() as u64))
                                                     .field(
                                                         "process",
                                                         Json::UInt(a.faulty.index() as u64),
@@ -737,9 +731,7 @@ pub fn explain(opts: &RunOpts, faulty_arg: Option<&str>) -> Result<(), String> {
                                                     )
                                                     .field(
                                                         "live_incarnation",
-                                                        Json::UInt(u64::from(
-                                                            a.live_incarnation,
-                                                        )),
+                                                        Json::UInt(u64::from(a.live_incarnation)),
                                                     )
                                                     .build()
                                             })
@@ -890,8 +882,14 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
     if let Some(path) = m.get_one::<String>("metrics-out") {
         let mut metrics = rdt_obs::ProfileReport::new();
         metrics.add("torture_ops", report.total_ops);
-        metrics.add("torture_crash_points_tested", report.crash_points_tested as u64);
-        metrics.add("torture_fault_plans_tested", report.fault_plans_tested as u64);
+        metrics.add(
+            "torture_crash_points_tested",
+            report.crash_points_tested as u64,
+        );
+        metrics.add(
+            "torture_fault_plans_tested",
+            report.fault_plans_tested as u64,
+        );
         metrics.add("torture_failures", report.failures.len() as u64);
         metrics.add("restart_quarantined", report.quarantined as u64);
         metrics.add("restart_transient_retries", report.transient_retries);

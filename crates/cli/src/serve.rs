@@ -230,7 +230,7 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
     // Always-on flight recorder: the bounded ring costs nothing until
     // frames move, periodic flushes survive a SIGKILL, and the panic hook
     // dumps on any worker failure.
-    rdt_obs::flight::install(&flight_path(&cfg.dir, rank, resume), 0);
+    rdt_obs::flight::install(flight_path(&cfg.dir, rank, resume), 0);
 
     let transport = UdsTransport::bind(&cfg.dir, rank, Duration::from_millis(1))
         .map_err(|e| format!("bind failed: {e}"))?;
@@ -607,8 +607,9 @@ fn wait_for_traffic(cfg: &ServeConfig, children: &mut [Child]) -> Result<(), Str
     loop {
         let all_busy = (0..cfg.n)
             .all(|i| std::fs::metadata(trace_path(&cfg.dir, i)).is_ok_and(|m| m.len() >= 200))
-            && (0..cfg.n)
-                .all(|i| std::fs::metadata(flight_path(&cfg.dir, i, false)).is_ok_and(|m| m.len() > 0));
+            && (0..cfg.n).all(|i| {
+                std::fs::metadata(flight_path(&cfg.dir, i, false)).is_ok_and(|m| m.len() > 0)
+            });
         if all_busy {
             return Ok(());
         }

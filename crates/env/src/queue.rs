@@ -11,9 +11,15 @@
 //! produced; the in-file `equivalence` proptest module proves it against a
 //! heap reference, operation by operation.
 //!
-//! Crash sessions use [`retain`](BucketQueue::retain) to drop in-transit
-//! deliveries **in place** — the old engine rebuilt the whole heap
-//! (`mem::take` + re-push of every surviving event) on every crash.
+//! Events known before the run starts — the application's op stream, a
+//! shard's planned local events — go into a separate **script lane**
+//! ([`script`](BucketQueue::script)) instead of the buckets: a plain
+//! `VecDeque` in `(at, seq)` order that [`pop`](BucketQueue::pop) merges
+//! with the buckets key by key. The lane is never cancelled, so a crash
+//! session's [`retain`](BucketQueue::retain) visits only the dynamically
+//! scheduled events (the in-transit deliveries) and costs O(in-transit
+//! events), not O(remaining ops); it drops them **in place**, with no
+//! queue rebuild.
 //!
 //! Exhausted buckets are recycled through a pool, so a long simulation
 //! reuses a handful of allocations regardless of event count.
@@ -32,12 +38,15 @@ type Bucket<T> = VecDeque<(u64, T)>;
 /// A priority queue over `(at, seq)` keys, specialized for monotone
 /// discrete-event scheduling.
 ///
-/// Invariants the caller must uphold (the simulator does by construction):
+/// Invariants the caller must uphold for [`push`](Self::push) (the
+/// simulator does by construction):
 ///
 /// * `seq` strictly increases across pushes;
 /// * `at` is never below the tick of the most recently popped event.
 ///
-/// Both are `debug_assert`ed.
+/// Both are `debug_assert`ed. [`script`](Self::script) has no such
+/// preconditions: any `(at, seq)` key is accepted, and keys must only be
+/// unique across the whole queue.
 #[derive(Debug)]
 pub struct BucketQueue<T> {
     /// Tick represented by `ring[0]`.
@@ -53,6 +62,9 @@ pub struct BucketQueue<T> {
     pool: Vec<Bucket<T>>,
     /// Highest `seq` pushed so far (monotonicity check).
     last_seq: u64,
+    /// The script lane: events known in advance, in `(at, seq)` order,
+    /// merged with the buckets on pop and never visited by `retain`.
+    script: VecDeque<(u64, u64, T)>,
 }
 
 impl<T> Default for BucketQueue<T> {
@@ -71,17 +83,18 @@ impl<T> BucketQueue<T> {
             len: 0,
             pool: Vec::new(),
             last_seq: 0,
+            script: VecDeque::new(),
         }
     }
 
-    /// Number of queued events.
+    /// Number of queued events, scripted ones included.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.script.len()
     }
 
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     fn fresh_bucket(pool: &mut Vec<Bucket<T>>) -> Bucket<T> {
@@ -138,12 +151,63 @@ impl<T> BucketQueue<T> {
         self.len += 1;
     }
 
+    /// Enqueues `item` on the script lane under the key `(at, seq)`.
+    ///
+    /// Scripted events pop in exact `(at, seq)` order together with the
+    /// pushed and inserted ones, but [`retain`](Self::retain) never sees
+    /// them: they model what is known before the run (the application's
+    /// future ops), which a crash does not cancel.
+    ///
+    /// Input in key order — the intended use — appends in O(1). A key
+    /// below the lane's last one is placed by binary search (an O(lane)
+    /// move), and a tick behind the current time is kept as given: it pops
+    /// before every bucketed event, all of which are at or after the
+    /// current time. Either way the pop order stays exactly `(at, seq)`.
+    pub fn script(&mut self, at: u64, seq: u64, item: T) {
+        let key = (at, seq);
+        if self.script.back().is_none_or(|&(a, s, _)| (a, s) < key) {
+            self.script.push_back((at, seq, item));
+        } else {
+            let pos = self.script.partition_point(|&(a, s, _)| (a, s) < key);
+            self.script.insert(pos, (at, seq, item));
+        }
+    }
+
     /// Dequeues the earliest event whose `(at, seq)` key is strictly below
     /// `bound`, or `None` — without consuming anything at or past the
     /// bound, and without advancing the internal base past `bound.0`, so
     /// later [`insert`](Self::insert)s at ticks `>= bound.0` (the earliest
     /// a conservative-lookahead window barrier can deliver) stay legal.
     pub fn pop_before(&mut self, bound: (u64, u64)) -> Option<(u64, u64, T)> {
+        match self.script_head() {
+            Some(head) if head < bound => self.pop_through(head),
+            _ => self.pop_queued_before(bound),
+        }
+    }
+
+    /// Dequeues the earliest event as `(at, seq, item)`, in `(at, seq)`
+    /// order.
+    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+        match self.script_head() {
+            Some(head) => self.pop_through(head),
+            None => self.pop_queued(),
+        }
+    }
+
+    /// Key of the script lane's next event.
+    fn script_head(&self) -> Option<(u64, u64)> {
+        self.script.front().map(|&(at, seq, _)| (at, seq))
+    }
+
+    /// The merge step: the earliest bucketed event below the script head
+    /// `head`, else the script head itself.
+    fn pop_through(&mut self, head: (u64, u64)) -> Option<(u64, u64, T)> {
+        self.pop_queued_before(head)
+            .or_else(|| self.script.pop_front())
+    }
+
+    /// [`pop_before`](Self::pop_before) over the buckets alone.
+    fn pop_queued_before(&mut self, bound: (u64, u64)) -> Option<(u64, u64, T)> {
         loop {
             if self.base >= bound.0 {
                 // Only same-tick events with a smaller seq still qualify.
@@ -180,16 +244,19 @@ impl<T> BucketQueue<T> {
                     self.migrate_overflow();
                 }
                 _ => {
+                    // Overflow ticks the moved window now covers must
+                    // move into the ring, or a later push at such a tick
+                    // would land in the ring beside its overflow bucket.
                     self.base = bound.0;
+                    self.migrate_overflow();
                     return None;
                 }
             }
         }
     }
 
-    /// Dequeues the earliest event as `(at, seq, item)`, in `(at, seq)`
-    /// order.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+    /// [`pop`](Self::pop) over the buckets alone.
+    fn pop_queued(&mut self) -> Option<(u64, u64, T)> {
         if self.len == 0 {
             return None;
         }
@@ -237,12 +304,13 @@ impl<T> BucketQueue<T> {
         }
     }
 
-    /// Keeps only the events for which `keep` returns `true`, preserving
-    /// `(at, seq)` order. Removed events are handed to `drop_fn` in
-    /// `(at, seq)` order together with their tick. Buckets are filtered
-    /// through pooled scratch storage — one element move per event, no
-    /// queue rebuild. This is the crash-session drain: the old engine
-    /// `mem::take`-and-re-pushed its entire heap here.
+    /// Keeps only the pushed or inserted events for which `keep` returns
+    /// `true`, preserving `(at, seq)` order. Removed events are handed to
+    /// `drop_fn` in `(at, seq)` order together with their tick. Scripted
+    /// events are neither passed to `keep` nor removed, so the cost is
+    /// O(bucketed events) however long the script lane is. Buckets are
+    /// filtered through pooled scratch storage — one element move per
+    /// event, no queue rebuild. This is the crash-session drain.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool, mut drop_fn: impl FnMut(u64, T)) {
         let len = &mut self.len;
         let pool = &mut self.pool;
@@ -307,9 +375,10 @@ mod equivalence {
         payload: u8,
     }
 
-    fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+    /// Up to `max` steps whose `kind` is drawn from `0..kinds`.
+    fn ops(kinds: u8, max: usize) -> impl Strategy<Value = Vec<Op>> {
         prop::collection::vec(
-            (0u8..8, 0u64..2500, 0u8..4).prop_map(|(kind, delay, payload)| Op {
+            (0u8..kinds, 0u64..2500, 0u8..4).prop_map(|(kind, delay, payload)| Op {
                 kind,
                 delay,
                 payload,
@@ -322,7 +391,7 @@ mod equivalence {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn pops_match_binary_heap_reference(script in ops(120)) {
+        fn pops_match_binary_heap_reference(script in ops(8, 120)) {
             let mut bucket: BucketQueue<u8> = BucketQueue::new();
             let mut heap: BinaryHeap<Reverse<(u64, u64, u8)>> = BinaryHeap::new();
             let mut time = 0u64;
@@ -378,6 +447,113 @@ mod equivalence {
             loop {
                 let expected = heap.pop().map(|Reverse(e)| e);
                 let got = bucket.pop();
+                prop_assert_eq!(got, expected);
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// With the script lane in play — scripted pushes in order, out of
+        /// order and behind the current time, interleaved with `push`,
+        /// `insert`, `pop`, `pop_before` and `retain` — every pop matches
+        /// the heap reference's `(at, seq, item)` exactly, and `retain`
+        /// drops exactly the reference's *dynamic* matches, in order.
+        #[test]
+        fn script_lane_matches_binary_heap_reference(script in ops(10, 160)) {
+            let mut queue: BucketQueue<u8> = BucketQueue::new();
+            // Reference entries carry whether they were scripted; the flag
+            // never decides order because seqs are unique.
+            let mut heap: BinaryHeap<Reverse<(u64, u64, u8, bool)>> = BinaryHeap::new();
+            // `floor`: the latest popped tick or pop_before bound tick —
+            // dynamic events may not be scheduled below it.
+            let mut floor = 0u64;
+            let mut script_tick = 0u64;
+            let mut seq = 1u64;
+            for op in script {
+                let dynamic_at = floor + op.delay;
+                match op.kind {
+                    0..=1 => {
+                        queue.push(dynamic_at, seq, op.payload);
+                        heap.push(Reverse((dynamic_at, seq, op.payload, false)));
+                        seq += 1;
+                    }
+                    2 => {
+                        queue.insert(dynamic_at, seq, op.payload);
+                        heap.push(Reverse((dynamic_at, seq, op.payload, false)));
+                        seq += 1;
+                    }
+                    3..=5 => {
+                        let at = match op.kind {
+                            // In order: a monotone cursor, like an op stream.
+                            3 | 4 => {
+                                script_tick += op.delay % 16;
+                                script_tick
+                            }
+                            // Out of order: anywhere ahead of the floor.
+                            _ if op.payload % 2 == 0 => dynamic_at,
+                            // Behind the current time.
+                            _ => floor.saturating_sub(op.delay),
+                        };
+                        queue.script(at, seq, op.payload);
+                        heap.push(Reverse((at, seq, op.payload, true)));
+                        seq += 1;
+                    }
+                    6..=7 => {
+                        let expected = heap.pop().map(|Reverse((a, s, p, _))| (a, s, p));
+                        let got = queue.pop();
+                        prop_assert_eq!(got, expected);
+                        if let Some((at, _, _)) = got {
+                            floor = floor.max(at);
+                        }
+                    }
+                    8 => {
+                        let bound = (dynamic_at, seq.saturating_sub(op.delay % 8));
+                        loop {
+                            let expected = match heap.peek() {
+                                Some(&Reverse((a, s, _, _))) if (a, s) < bound => {
+                                    heap.pop().map(|Reverse((a, s, p, _))| (a, s, p))
+                                }
+                                _ => None,
+                            };
+                            let got = queue.pop_before(bound);
+                            prop_assert_eq!(got, expected);
+                            if got.is_none() {
+                                break;
+                            }
+                        }
+                        floor = bound.0;
+                    }
+                    _ => {
+                        let doomed = op.payload;
+                        let mut dropped = Vec::new();
+                        queue.retain(|&p| p != doomed, |at, p| dropped.push((at, p)));
+                        let mut expected_dropped = Vec::new();
+                        let survivors: Vec<_> = heap
+                            .drain()
+                            .filter(|&Reverse((at, s, p, scripted))| {
+                                if p == doomed && !scripted {
+                                    expected_dropped.push((at, s, p));
+                                    false
+                                } else {
+                                    true
+                                }
+                            })
+                            .collect();
+                        heap.extend(survivors);
+                        expected_dropped.sort_unstable();
+                        let expected_dropped: Vec<(u64, u8)> = expected_dropped
+                            .into_iter()
+                            .map(|(at, _, p)| (at, p))
+                            .collect();
+                        prop_assert_eq!(dropped, expected_dropped);
+                    }
+                }
+                prop_assert_eq!(queue.len(), heap.len());
+            }
+            loop {
+                let expected = heap.pop().map(|Reverse((a, s, p, _))| (a, s, p));
+                let got = queue.pop();
                 prop_assert_eq!(got, expected);
                 if got.is_none() {
                     break;
@@ -590,6 +766,40 @@ mod tests {
         q.insert(10, 2, ());
         q.insert(12, 3, ());
         assert_eq!(drain(&mut q), vec![(10, 2), (12, 3)]);
+    }
+
+    #[test]
+    fn parking_the_base_migrates_overflow_the_window_now_covers() {
+        let mut q = BucketQueue::new();
+        let far = WINDOW * 2 + 5; // overflow while the base is 0
+        q.insert(far, 1, "first");
+        assert_eq!(q.pop_before((WINDOW * 2, 0)), None);
+        // The base parked at 2 * WINDOW, so `far` is now a ring tick: a
+        // second event there must share the migrated bucket.
+        q.insert(far, 2, "second");
+        q.insert(far + 1, 3, "third");
+        assert_eq!(drain(&mut q), vec![(far, 1), (far, 2), (far + 1, 3)]);
+    }
+
+    #[test]
+    fn script_lane_merges_with_buckets_and_escapes_retain() {
+        let mut q = BucketQueue::new();
+        q.script(0, 0, 'a');
+        q.script(10, 1, 'b');
+        q.push(10, 2, 'x');
+        q.push(3, 3, 'y');
+        q.script(5, 4, 'c'); // out of order: placed by key
+        let mut seen = 0;
+        q.retain(
+            |_| {
+                seen += 1;
+                false
+            },
+            |_, _| {},
+        );
+        assert_eq!(seen, 2, "retain visits bucketed events only");
+        assert_eq!(q.len(), 3);
+        assert_eq!(drain(&mut q), vec![(0, 0), (5, 4), (10, 1)]);
     }
 
     #[test]

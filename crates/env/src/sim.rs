@@ -15,6 +15,19 @@ use crate::rng::DetRng;
 
 /// Deterministic simulated runtime: schedule events, pop them in
 /// `(at, seq)` order, advance virtual time as they are consumed.
+///
+/// Events enter one of two lanes, both stamped from one `seq` counter:
+///
+/// * [`schedule`](Self::schedule) — dynamic events (deliveries, control
+///   rounds) in the bucket queue, which [`cancel`](Self::cancel) filters;
+/// * [`script`](Self::script) — events known in advance (the application
+///   op stream) in the queue's script lane, which `cancel` never visits:
+///   a crash loses in-transit messages, never the application's future
+///   ops.
+///
+/// [`pop`](Self::pop) merges the lanes in exact `(at, seq)` order, so
+/// moving an event from `schedule` to `script` changes nothing but the
+/// cost of `cancel`.
 #[derive(Debug)]
 pub struct SimEnv<T> {
     clock: VirtualClock,
@@ -49,6 +62,17 @@ impl<T> SimEnv<T> {
         self.queue.push(at, seq, item);
     }
 
+    /// Enqueues `item` on the script lane at tick `at`, stamping it with
+    /// the next sequence number exactly as [`schedule`](Self::schedule)
+    /// would. Scripted events are never cancelled. Ticks given out of
+    /// order, or behind the current time, still pop in `(at, seq)` order
+    /// (see [`BucketQueue::script`]); the clock never moves backwards.
+    pub fn script(&mut self, at: u64, item: T) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.script(at, seq, item);
+    }
+
     /// Dequeues the earliest event, advancing the clock to its tick
     /// (never backwards). Returns `(at, seq, item)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
@@ -57,14 +81,15 @@ impl<T> SimEnv<T> {
         Some((at, seq, item))
     }
 
-    /// In-place drain of scheduled events failing `keep`; dropped events
-    /// are handed to `drop_fn` with their tick in `(at, seq)` order.
-    /// This is the crash-session cancel path.
+    /// In-place drain of [`schedule`](Self::schedule)d events failing
+    /// `keep`; dropped events are handed to `drop_fn` with their tick in
+    /// `(at, seq)` order. Scripted events are not visited, so this costs
+    /// O(dynamic events pending). This is the crash-session cancel path.
     pub fn cancel(&mut self, keep: impl FnMut(&T) -> bool, drop_fn: impl FnMut(u64, T)) {
         self.queue.retain(keep, drop_fn);
     }
 
-    /// Number of scheduled, not-yet-delivered events.
+    /// Number of scheduled or scripted, not-yet-popped events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -106,6 +131,48 @@ mod tests {
         env.cancel(|&v| v != 10, |at, v| dropped.push((at, v)));
         assert_eq!(dropped, vec![(1, 10), (3, 10)]);
         assert_eq!(env.pending(), 1);
+    }
+
+    #[test]
+    fn scripted_events_interleave_by_key_and_survive_cancel() {
+        let mut env: SimEnv<&str> = SimEnv::new(3);
+        env.script(0, "op0"); // seq 0
+        env.script(10, "op1"); // seq 1
+        env.schedule(10, "msg"); // seq 2: same tick, after op1
+        env.schedule(4, "early"); // seq 3
+        env.cancel(|&v| v != "early", |_, _| {});
+        assert_eq!(env.pending(), 3);
+        assert_eq!(env.pop(), Some((0, 0, "op0")));
+        assert_eq!(env.pop(), Some((10, 1, "op1")));
+        assert_eq!(env.pop(), Some((10, 2, "msg")));
+        assert_eq!(env.pop(), None);
+    }
+
+    /// Pins the crash-cost bound: `cancel` looks at each dynamic event
+    /// once and at no scripted event, however many ops are still ahead.
+    #[test]
+    fn cancel_visits_only_dynamic_events() {
+        const SCRIPTED: u64 = 10_000;
+        const DYNAMIC: u64 = 37;
+        let mut env: SimEnv<u64> = SimEnv::new(5);
+        for k in 0..SCRIPTED {
+            env.script(k * 10, k);
+        }
+        for k in 0..DYNAMIC {
+            env.schedule(k * 3 + 1, SCRIPTED + k);
+        }
+        let mut calls = 0u64;
+        let mut dropped = 0u64;
+        env.cancel(
+            |_| {
+                calls += 1;
+                false
+            },
+            |_, _| dropped += 1,
+        );
+        assert_eq!(calls, DYNAMIC);
+        assert_eq!(dropped, DYNAMIC);
+        assert_eq!(env.pending(), SCRIPTED as usize);
     }
 
     #[test]

@@ -218,18 +218,18 @@ mod tests {
         let f = frame();
         let decoded = WireFrame::decode(&v1_bytes(&f)).expect("v1 frame parses");
         assert_eq!(decoded.parent, None);
-        assert_eq!(
-            decoded,
-            WireFrame {
-                parent: None,
-                ..f
-            }
-        );
+        assert_eq!(decoded, WireFrame { parent: None, ..f });
     }
 
     #[test]
     fn corruption_is_rejected() {
-        for f in [frame(), WireFrame { parent: None, ..frame() }] {
+        for f in [
+            frame(),
+            WireFrame {
+                parent: None,
+                ..frame()
+            },
+        ] {
             let mut bytes = f.encode();
             for i in 0..bytes.len() {
                 bytes[i] ^= 0x40;
@@ -244,7 +244,11 @@ mod tests {
         let mut bytes = v1_bytes(&frame());
         for i in 0..bytes.len() {
             bytes[i] ^= 0x40;
-            assert_eq!(WireFrame::decode(&bytes), None, "flipped v1 byte {i} parsed");
+            assert_eq!(
+                WireFrame::decode(&bytes),
+                None,
+                "flipped v1 byte {i} parsed"
+            );
             bytes[i] ^= 0x40;
         }
     }

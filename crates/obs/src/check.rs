@@ -199,10 +199,8 @@ mod tests {
             r#"{"type":"causal","pos":0,"kind":"send","process":0,"peer":1,"seq":0,"interval":3}"#,
         )
         .unwrap();
-        check_jsonl_line(
-            r#"{"type":"causal","pos":1,"kind":"recv","process":1,"peer":0,"seq":0}"#,
-        )
-        .unwrap();
+        check_jsonl_line(r#"{"type":"causal","pos":1,"kind":"recv","process":1,"peer":0,"seq":0}"#)
+            .unwrap();
         check_jsonl_line(
             r#"{"type":"causal","pos":2,"kind":"apply","process":1,"peer":0,"seq":0,"interval":3,"forced":false,"eliminated":0}"#,
         )
@@ -219,16 +217,22 @@ mod tests {
         assert!(check_jsonl_line("[1,2]").is_err());
         assert!(check_jsonl_line(r#"{"type":"mystery"}"#).is_err());
         assert!(check_jsonl_line(r#"{"type":"event","i":0,"kind":"send","from":1}"#).is_err());
-        assert!(check_jsonl_line(r#"{"type":"span","phase":"p","count":-1,"total_ns":0}"#).is_err());
-        assert!(check_jsonl_line(r#"{"level":"loud","target":"t","event":"e","msg":"m"}"#).is_err());
-        assert!(check_jsonl_line(r#"{"no":"discriminator"}"#).is_err());
         assert!(
-            check_jsonl_line(r#"{"type":"causal","pos":0,"kind":"warp","process":0,"peer":1,"seq":0}"#)
-                .is_err()
+            check_jsonl_line(r#"{"type":"span","phase":"p","count":-1,"total_ns":0}"#).is_err()
         );
         assert!(
-            check_jsonl_line(r#"{"type":"causal","pos":0,"kind":"apply","process":0,"peer":1,"seq":0}"#)
-                .is_err(),
+            check_jsonl_line(r#"{"level":"loud","target":"t","event":"e","msg":"m"}"#).is_err()
+        );
+        assert!(check_jsonl_line(r#"{"no":"discriminator"}"#).is_err());
+        assert!(check_jsonl_line(
+            r#"{"type":"causal","pos":0,"kind":"warp","process":0,"peer":1,"seq":0}"#
+        )
+        .is_err());
+        assert!(
+            check_jsonl_line(
+                r#"{"type":"causal","pos":0,"kind":"apply","process":0,"peer":1,"seq":0}"#
+            )
+            .is_err(),
             "apply without interval/forced/eliminated"
         );
     }

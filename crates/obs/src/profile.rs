@@ -305,12 +305,10 @@ impl ProfileReport {
             if let Some(comment) = line.strip_prefix('#') {
                 let mut words = comment.split_whitespace();
                 match words.next() {
-                    Some("HELP") | Some("TYPE") => {
-                        if words.next().is_none() {
-                            return Err(err("comment names no metric"));
-                        }
+                    Some("HELP") | Some("TYPE") if words.next().is_none() => {
+                        return Err(err("comment names no metric"));
                     }
-                    _ => {} // free-form comment
+                    _ => {} // free-form comment, or a named HELP/TYPE line
                 }
                 continue;
             }
@@ -333,8 +331,7 @@ impl ProfileReport {
                     let idx = if le == "+Inf" {
                         HIST_BUCKETS - 1
                     } else {
-                        let bound: u64 =
-                            le.parse().map_err(|_| err("le bound is not a number"))?;
+                        let bound: u64 = le.parse().map_err(|_| err("le bound is not a number"))?;
                         let idx = bucket_of(bound);
                         if bucket_upper_ns(idx) != bound {
                             return Err(err("le bound is not a bucket upper bound"));

@@ -406,8 +406,7 @@ impl RecoveryManager {
                                 last_stable: alpha,
                             });
                         }
-                    } else if alpha.value() < entry.interval().value()
-                        && entry.incarnation() < live
+                    } else if alpha.value() < entry.interval().value() && entry.incarnation() < live
                     {
                         amnestied.push(AmnestiedEntry {
                             at: idx,

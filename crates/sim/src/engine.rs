@@ -293,6 +293,13 @@ impl Simulation {
     /// Schedules an operation stream, one op per
     /// [`ticks_per_op`](SimConfig::ticks_per_op), pre-sizing the recording
     /// buffers from the op count so the hot loop never reallocates them.
+    ///
+    /// The ops go into the environment's script lane
+    /// ([`SimEnv::script`](rdt_env::SimEnv::script)), not the bucket
+    /// queue: they pop in the same `(at, seq)` order as if scheduled, but
+    /// a crash's cancel never scans them. Calling this more than once, or
+    /// after the run started, is legal; later streams still interleave by
+    /// key.
     pub fn schedule_ops(&mut self, ops: &[AppOp]) {
         if self.config.record_trace {
             // Sends dominate: send + deliver + occasional forced
@@ -306,7 +313,7 @@ impl Simulation {
         for (k, op) in ops.iter().enumerate() {
             let at = k as u64 * self.config.ticks_per_op;
             self.horizon = self.horizon.max(at);
-            self.push_at(at, EventKind::App(*op));
+            self.env.script(at, EventKind::App(*op));
         }
     }
 
@@ -551,9 +558,10 @@ impl Simulation {
             }
         }
         // All in-transit messages are lost (the recovered CCP excludes
-        // them, Section 2.2): an in-place retain over the bucket queue,
-        // dropping deliveries in deterministic (at, seq) order. No queue
-        // rebuild, no re-pushes.
+        // them, Section 2.2): an in-place cancel over the dynamically
+        // scheduled events only, dropping deliveries in deterministic
+        // (at, seq) order. The pending app ops sit in the script lane and
+        // are not visited, so a session costs O(in-transit events).
         let metrics = &mut self.metrics;
         let trace = &mut self.trace;
         let record_trace = self.config.record_trace;

@@ -370,7 +370,10 @@ mod tests {
         let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
         let (f0, _) = b.send_frame(p(0));
         let (f1, _) = b.send_frame(p(0));
-        assert_eq!(f1.parent, None, "sends without any applied frame stay roots");
+        assert_eq!(
+            f1.parent, None,
+            "sends without any applied frame stay roots"
+        );
         a.deliver_frame(&f0.encode()).unwrap().unwrap();
         let (fa, _) = a.send_frame(p(1));
         assert_eq!(fa.parent, Some((1, 0)), "parent is b's frame seq 0");
@@ -378,7 +381,10 @@ mod tests {
         let (fa2, _) = a.send_frame(p(1));
         assert_eq!(fa2.parent, Some((1, 1)), "parent advances with each apply");
         // The parent survives the wire.
-        assert_eq!(WireFrame::decode(&fa2.encode()).unwrap().parent, Some((1, 1)));
+        assert_eq!(
+            WireFrame::decode(&fa2.encode()).unwrap().parent,
+            Some((1, 1))
+        );
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn build_plan(builder: &SimulationBuilder, ops: &[AppOp], shards: usize) -> RunP
     for (k, op) in ops.iter().enumerate() {
         let at = k as u64 * config.ticks_per_op;
         horizon = horizon.max(at);
-        env.schedule(at, PlanKind::App(*op));
+        env.script(at, PlanKind::App(*op));
     }
 
     let mut sends: Vec<SendCell> = Vec::new();

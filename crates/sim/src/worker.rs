@@ -200,6 +200,8 @@ pub(crate) struct WorkerSetup {
     pub n: usize,
     pub owned: Vec<ProcessId>,
     pub shard_of: Arc<Vec<u32>>,
+    /// The shard's planned local events in global `(at, seq)` order (the
+    /// planning pass emits them in pop order), fed to the script lane.
     pub events: Vec<(u64, u64, PlannedLocal)>,
     pub protocol: ProtocolKind,
     pub gc: GcKind,
@@ -283,7 +285,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) {
                 delivery,
             },
         };
-        env.insert(at, seq, live);
+        env.script(at, seq, live);
     }
 
     let mut w = Worker {

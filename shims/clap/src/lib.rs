@@ -336,7 +336,11 @@ impl Command {
                             }
                         };
                         if arg.action == ArgAction::Append {
-                            matches.multi.entry(arg.name.clone()).or_default().push(value);
+                            matches
+                                .multi
+                                .entry(arg.name.clone())
+                                .or_default()
+                                .push(value);
                         } else {
                             matches.values.insert(arg.name.clone(), value);
                         }
